@@ -107,6 +107,8 @@ func renderTopFrame(out io.Writer, base string, st *serve.Stats, gauges map[stri
 	fmt.Fprintf(out, "  cache      hits %d  misses %d  (%s hit)   entries %d\n",
 		st.Cache.Hits, st.Cache.Misses, hitPct(st.Cache.Hits, st.Cache.Misses), st.Cache.Entries)
 	fmt.Fprintf(out, "  parse      hits %d  misses %d  (%s hit)\n", pHit, pMiss, hitPct(pHit, pMiss))
+	fmt.Fprintf(out, "  store      entries %d   %.1f MiB   evictions %d\n",
+		st.Store.Entries, float64(st.Store.Bytes)/(1<<20), st.Store.Evictions)
 	sHit := st.Counters["fleet.subcell.hit"]
 	sMiss := st.Counters["fleet.subcell.miss"]
 	fmt.Fprintf(out, "  subcell    hits %d  misses %d  (%s hit)   composed %d\n",

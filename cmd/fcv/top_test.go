@@ -51,6 +51,8 @@ func TestTopOnceRendersDashboard(t *testing.T) {
 		"verdicts   pass",
 		"cache      hits 0  misses 1",
 		"parse      hits 0  misses 1",
+		"store      entries 2 ", // the record and the parsed deck
+		"evictions 0",
 		"subcell    hits 0  misses 0  (- hit)   composed 0",
 		"goroutines",
 		"heap",

@@ -517,10 +517,10 @@ type S5Result struct {
 	Report              string
 }
 
-// S5 runs the CBV engine over the whole design zoo — through the fleet
-// driver with a fingerprint cache, exercising the chip-scale corpus
-// path — and reports the filter effectiveness (§2.3's
-// designer-inspection-load story) and the CBC comparison.
+// S5 runs the CBV engine over the whole design zoo and reports the
+// filter effectiveness (§2.3's designer-inspection-load story) and the
+// CBC comparison. It reads each report's recognition and check battery,
+// which fleet records do not keep, so it calls core.Verify directly.
 func S5() (*S5Result, error) {
 	items := []fleet.Item{
 		{Name: "invchain", Circuit: designs.InverterChain(12)},
@@ -529,21 +529,17 @@ func S5() (*S5Result, error) {
 		{Name: "sram16x8", Circuit: designs.SRAMArray(16, 8, 0.09)},
 		{Name: "passmux8", Circuit: designs.PassMux(8)},
 	}
-	frep := fleet.Verify(items, fleet.Options{
-		Core:  core.Options{Proc: process.CMOS075()},
-		Cache: fleet.NewCache(),
-	})
 	res := &S5Result{PerDesign: make(map[string]*core.Report)}
 	var sb strings.Builder
 	sb.WriteString("S5: §4.2 check battery + CBV/CBC comparison over the design zoo\n")
 	sb.WriteString("  design      groups  findings  pass%   verdict     CBC\n")
 	totalFindings, totalPass := 0, 0
-	for idx, fr := range frep.Results {
-		name, c := fr.Name, items[idx].Circuit
-		if fr.Err != nil {
-			return nil, fmt.Errorf("%s: %w", name, fr.Err)
+	for _, it := range items {
+		name, c := it.Name, it.Circuit
+		rep, err := core.Verify(c, core.Options{Proc: process.CMOS075()})
+		if err != nil {
+			return nil, fmt.Errorf("%s: %w", name, err)
 		}
-		rep := fr.Report
 		res.PerDesign[name] = rep
 		p, i, v := rep.Checks.Counts()
 		totalFindings += p + i + v

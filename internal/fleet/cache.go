@@ -3,45 +3,47 @@ package fleet
 import (
 	"sync"
 	"sync/atomic"
+	"unsafe"
 
+	"repro/internal/checks"
 	"repro/internal/core"
 	"repro/internal/hier"
+	"repro/internal/lru"
 	"repro/internal/netlist"
 	"repro/internal/obs"
 )
 
-// Cache memoizes core.Verify outcomes keyed on structural fingerprint
-// plus configuration key. It is safe for concurrent use and uses
-// singleflight admission: when several workers race on the same key,
-// exactly one runs the verification and the rest block on its entry —
-// so hit/miss counts are deterministic for a given corpus (every
-// distinct key misses exactly once, ever), not scheduling-dependent.
+// StoreBudget is the byte budget NewCache gives its store: lru.Budget,
+// which tests shrink to drive eviction.
+var StoreBudget int64 = lru.Budget
+
+// Cache is the verifier's bounded memory, for one CLI run or a daemon's
+// whole lifetime: one lru store, trimmed to StoreBudget when a run
+// ends, holding every memo table as a typed view — verification
+// records, the hier side-tables and fingerprint memo, and whatever the
+// owner adds through Store (the daemon's parsed decks).
 //
-// Invalidation is by key construction, not eviction: a change to the
-// circuit's structure, sizing or models moves the fingerprint, and a
-// change to the process model, clock, couplings or lint configuration
-// moves the config key. Stale entries are simply never looked up again;
-// the cache is unbounded and meant to live for a process or a
-// benchmark, not a daemon.
+// Records are keyed on structural fingerprint plus configuration key
+// and admitted singleflight: when several workers race on one key,
+// exactly one verifies and the rest block on its entry. A run pins
+// every record it looks up until it ends, so hit/miss counts are
+// deterministic for a given corpus at any -j. Invalidation is by key
+// construction — an edit moves the fingerprint, an option change the
+// config key — and stale entries age out of the LRU; an evicted entry
+// is re-derived on next use.
 type Cache struct {
-	mu      sync.Mutex
-	entries map[cacheKey]*cacheEntry
+	store   *lru.Cache[any, any]
+	records lru.View[cacheKey, *cacheEntry]
 
-	// Hierarchical composition side-tables, keyed on (DAG fingerprint,
-	// inlining cutoff): the port interface and boundary findings of a
-	// subcell are pure functions of its DAG content and the cutoff that
-	// shaped its effective scope, so a warm re-verify replays them
-	// instead of re-flattening and re-classifying untouched cells.
-	// Unlike the main entry map they are bounded: VerifyHier prunes
-	// stale keys (pruneHier) so daemon edit history cannot grow them
-	// without limit.
-	hierMu    sync.Mutex
-	hierIfcs  map[hierKey]*hier.Interface
-	hierBound map[hierKey][]obs.Finding
+	// Hierarchical composition side-tables: a subcell's port interface
+	// and boundary findings are pure functions of its DAG content and
+	// the inlining cutoff that shaped its scope, so a warm re-verify
+	// replays them instead of re-deriving untouched cells.
+	ifcs   lru.View[hierKey, *hier.Interface]
+	bounds lru.View[boundKey, []obs.Finding]
 
-	// hierMemo short-circuits the per-cell refinement inside
-	// HierFingerprint for cells whose content and child labels are
-	// unchanged since a previous run through this cache.
+	// hierMemo short-circuits HierFingerprint's per-cell refinement for
+	// cells whose content and child labels it has seen before.
 	hierMemo *netlist.HierFPMemo
 }
 
@@ -50,10 +52,61 @@ type cacheKey struct {
 	cfg string
 }
 
-// hierKey identifies a subcell's composition derivatives.
+// hierKey identifies a subcell's composition derivatives: its DAG
+// fingerprint and the HierInline cutoff. boundKey gives the boundary
+// table its own key type in the store.
 type hierKey struct {
-	fp     netlist.Fingerprint // the cell's DAG fingerprint
-	cutoff int                 // HierInline cutoff shaping the effective scope
+	fp     netlist.Fingerprint
+	cutoff int
+}
+
+type boundKey hierKey
+
+// Record is the compact outcome of one verification — verdict, inspect
+// load, timing summary, provenanced findings — without the recognized
+// circuit a core.Report drags along. The memory and disk caches hold
+// the same record, and every Result is built from one.
+type Record struct {
+	Design      string         `json:"design"`
+	Verdict     checks.Verdict `json:"verdict"`
+	InspectLoad int            `json:"inspect_load"`
+	MinPeriodPS float64        `json:"min_period_ps"`
+	Races       int            `json:"races"`
+	Paths       int            `json:"paths"`
+	Findings    []obs.Finding  `json:"findings"`
+}
+
+// verifyRecord runs the CBV pipeline and condenses its report.
+func verifyRecord(c *netlist.Circuit, opt core.Options) (*Record, error) {
+	rep, err := core.Verify(c, opt)
+	if err != nil {
+		return nil, err
+	}
+	r := &Record{
+		Design:      rep.Design,
+		Verdict:     rep.Verdict,
+		InspectLoad: rep.InspectLoad,
+		Findings:    rep.Findings(),
+	}
+	if rep.Timing != nil {
+		r.MinPeriodPS = rep.Timing.MinPeriodPS
+		r.Races = len(rep.Timing.Races)
+		r.Paths = len(rep.Timing.Paths)
+	}
+	return r, nil
+}
+
+// findingsBytes estimates the memory a finding slice holds, header
+// included, so even an empty slice costs something to keep. Source,
+// Check, Severity and Unit are shared constants; an evidence name is
+// counted as its string header plus a short name.
+func findingsBytes(fs []obs.Finding) int64 {
+	n := int(unsafe.Sizeof(fs)) + cap(fs)*int(unsafe.Sizeof(obs.Finding{}))
+	for _, f := range fs {
+		n += len(f.ID) + len(f.Subject) + len(f.Detail) + len(f.Evidence.Context) +
+			32*(len(f.Evidence.Devices)+len(f.Evidence.Nets))
+	}
+	return int64(n)
 }
 
 // cacheEntry carries the creating caller's circuit and options into the
@@ -67,156 +120,98 @@ type cacheEntry struct {
 	done    atomic.Bool
 	circuit func() (*netlist.Circuit, error)
 	opt     core.Options
-	rep     *core.Report
+	rec     *Record
 	err     error
 
-	// Disk-layer outcome, set inside the once when a DiskCache was
-	// attached: how the disk lookup went, how many entries the write
-	// evicted, and — on a disk hit — the stored findings (rep is then a
-	// skeleton that cannot recompute them).
-	disk        diskOutcome
-	diskWrote   bool
-	diskEvicted int
-	findings    []obs.Finding
+	// How the disk lookup went and whether the write landed (set inside
+	// the once when a DiskCache was attached).
+	disk      diskOutcome
+	diskWrote bool
+}
+
+// bytes is the entry's accounted footprint in the store.
+func (e *cacheEntry) bytes() int64 {
+	if e.rec == nil {
+		return int64(unsafe.Sizeof(*e))
+	}
+	return int64(unsafe.Sizeof(*e)+unsafe.Sizeof(*e.rec)+uintptr(len(e.rec.Design))) + findingsBytes(e.rec.Findings)
 }
 
 // NewCache returns an empty verification cache.
 func NewCache() *Cache {
+	s := lru.New[any, any](StoreBudget)
 	return &Cache{
-		entries:   make(map[cacheKey]*cacheEntry),
-		hierIfcs:  make(map[hierKey]*hier.Interface),
-		hierBound: make(map[hierKey][]obs.Finding),
-		hierMemo:  netlist.NewHierFPMemo(),
+		store:    s,
+		records:  lru.View[cacheKey, *cacheEntry]{S: s},
+		ifcs:     lru.View[hierKey, *hier.Interface]{S: s},
+		bounds:   lru.View[boundKey, []obs.Finding]{S: s},
+		hierMemo: netlist.NewHierFPMemoIn(s),
 	}
 }
 
-// hierIfc returns the memoized port interface for a subcell key.
-func (c *Cache) hierIfc(k hierKey) (*hier.Interface, bool) {
-	c.hierMu.Lock()
-	defer c.hierMu.Unlock()
-	ifc, ok := c.hierIfcs[k]
-	return ifc, ok
-}
+// Store returns the cache's store, so an owner keeps its own memo
+// tables under the same budget.
+func (c *Cache) Store() *lru.Cache[any, any] { return c.store }
 
-// setHierIfc stores a subcell's port interface. Concurrent writers
-// store identical values (the interface is derived deterministically
-// from the key's content), so last-write-wins is sound.
-func (c *Cache) setHierIfc(k hierKey, ifc *hier.Interface) {
-	c.hierMu.Lock()
-	defer c.hierMu.Unlock()
-	c.hierIfcs[k] = ifc
-}
-
-// hierBoundary returns the memoized boundary findings for a subcell
-// key. The boolean distinguishes "cached empty" from "not cached".
-func (c *Cache) hierBoundary(k hierKey) ([]obs.Finding, bool) {
-	c.hierMu.Lock()
-	defer c.hierMu.Unlock()
-	bf, ok := c.hierBound[k]
-	return bf, ok
-}
-
-// setHierBoundary stores a subcell's boundary findings (nil slices are
-// normalized to empty so presence survives the round trip).
-func (c *Cache) setHierBoundary(k hierKey, bf []obs.Finding) {
-	if bf == nil {
-		bf = []obs.Finding{}
-	}
-	c.hierMu.Lock()
-	defer c.hierMu.Unlock()
-	c.hierBound[k] = bf
-}
-
-// hierSideSlack bounds the hier side-tables relative to the most recent
-// run's live cell set: pruning kicks in only once a table exceeds this
-// multiple of the live keys, so steady re-verification of one design
-// never pays for it while a daemon's edit history cannot grow the
-// tables without bound.
-const hierSideSlack = 8
-
-// pruneHier drops side-table entries outside the live key set once a
-// table has outgrown hierSideSlack times it. The tables are otherwise
-// append-only — every edit iteration in a long-running daemon adds
-// DAG-keyed entries that would never be looked up again — and a pruned
-// entry is merely re-derived on next use, so eviction is always safe.
-func (c *Cache) pruneHier(live map[hierKey]bool) {
-	c.hierMu.Lock()
-	defer c.hierMu.Unlock()
-	if len(c.hierIfcs) > hierSideSlack*len(live) {
-		for k := range c.hierIfcs {
-			if !live[k] {
-				delete(c.hierIfcs, k)
-			}
-		}
-	}
-	if len(c.hierBound) > hierSideSlack*len(live) {
-		for k := range c.hierBound {
-			if !live[k] {
-				delete(c.hierBound, k)
-			}
-		}
-	}
+// HierFingerprint builds the fingerprint DAG of the hierarchy rooted at
+// top through the cache's per-cell memo.
+func (c *Cache) HierFingerprint(lib *netlist.Library, top *netlist.Circuit) (*netlist.HierFP, error) {
+	return lib.HierFingerprintMemo(top, c.hierMemo)
 }
 
 // Len returns the number of distinct (fingerprint, config) entries.
-func (c *Cache) Len() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return len(c.entries)
-}
+func (c *Cache) Len() int { return c.records.Len() }
 
 // verify returns the memoized entry for the circuit, resolving it
-// under the entry's once on first sight of the key. fresh is true for
-// the single caller whose lookup created the entry — the run's miss;
-// every other caller is a hit. inflight is true for hits that arrived
-// before the resolution finished and had to block on it.
+// under the entry's once on first sight of the key, and pins it until
+// the run's release. The lookup itself runs inside inTurn, which orders
+// it among the run's items. fresh is true for the single caller whose
+// lookup created the entry — the run's miss; every other caller is a
+// hit. inflight is true for hits that had to block on the resolution.
 //
-// The circuit arrives as a provider, invoked only when the outcome
-// actually has to be computed — never on a memory or disk hit. That is
-// what makes lazy items (Item.Lazy) effective: a warm re-verify skips
-// circuit construction entirely for every cache-hit key.
-//
-// When disk is non-nil the once body consults the persistent layer
-// first: a disk hit replays the stored outcome without running
-// core.Verify at all; a disk miss verifies fresh and stores the result
-// (errored outcomes are never persisted — a transient failure should
-// not poison future runs). Because the disk I/O happens inside the
-// once, per-key disk hit/miss counts stay singleflight-deterministic
-// at any worker count, exactly like the memory layer's.
-func (c *Cache) verify(fp netlist.Fingerprint, cfg string, circuit func() (*netlist.Circuit, error), opt core.Options, disk *DiskCache) (e *cacheEntry, fresh, inflight bool) {
+// The circuit provider runs only when the outcome must be computed —
+// never on a memory or disk hit — which is what makes lazy items
+// (Item.Lazy) effective. With a disk layer the once body consults it
+// first: a hit replays the stored record, a miss verifies and stores
+// it (errored outcomes are never persisted, so a transient failure
+// cannot poison future runs). The disk I/O inside the once keeps disk
+// hit/miss counts singleflight-deterministic at any worker count.
+func (c *Cache) verify(fp netlist.Fingerprint, cfg string, circuit func() (*netlist.Circuit, error), opt core.Options, disk *DiskCache, inTurn func(lookup func())) (e *cacheEntry, fresh, inflight bool) {
 	key := cacheKey{fp: fp, cfg: cfg}
-	c.mu.Lock()
-	e, ok := c.entries[key]
-	if !ok {
-		e = &cacheEntry{circuit: circuit, opt: opt}
-		c.entries[key] = e
-		fresh = true
-	}
-	c.mu.Unlock()
-	inflight = !fresh && !e.done.Load()
+	inTurn(func() {
+		var x any
+		x, fresh = c.store.Pin(key, func() any { return &cacheEntry{circuit: circuit, opt: opt} })
+		e = x.(*cacheEntry)
+		inflight = !fresh && !e.done.Load()
+	})
 	e.once.Do(func() {
 		if disk != nil {
-			if ent, out := disk.load(fp, cfg); out == diskHit {
-				e.rep = ent.report()
-				e.findings = ent.Findings
-				e.disk = diskHit
-			} else {
-				e.disk = out
-			}
+			e.rec, e.disk = disk.load(fp, cfg)
 		}
-		if e.rep == nil {
+		if e.rec == nil {
 			var circ *netlist.Circuit
 			if circ, e.err = e.circuit(); e.err == nil {
-				e.rep, e.err = core.Verify(circ, e.opt)
+				e.rec, e.err = verifyRecord(circ, e.opt)
 			}
 			if disk != nil && e.err == nil {
-				var serr error
-				e.diskEvicted, serr = disk.store(fp, cfg, e.rep)
-				e.diskWrote = serr == nil
+				e.diskWrote = disk.store(fp, cfg, e.rec) == nil
 			}
 		}
 		e.circuit, e.opt = nil, core.Options{} // release the inputs
+		c.records.Put(key, e, e.bytes())
 		e.done.Store(true)
 	})
 	return e, fresh, inflight
+}
+
+// release unpins the records a finished run looked up — every result
+// with a fingerprint; the others failed before the lookup — and trims
+// the store back to its budget.
+func (c *Cache) release(results []Result, cfg string) {
+	for i := range results {
+		if fp := results[i].Fingerprint; fp != (netlist.Fingerprint{}) {
+			c.store.Unpin(cacheKey{fp: fp, cfg: cfg})
+		}
+	}
+	c.store.Trim()
 }

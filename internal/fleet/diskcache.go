@@ -9,7 +9,8 @@
 // its fingerprint, a changed process model or lint setup moves the
 // config key, and a new cache format version orphans every old entry.
 // Stale entries are never looked up again and are reclaimed by the
-// size-bounded LRU GC, not by any explicit invalidation step.
+// size-bounded LRU GC (`fcv cache gc`), not by any explicit
+// invalidation step.
 //
 // Robustness contract: a cache directory is advisory state. Loads
 // tolerate truncated, corrupt, mismatched or concurrently-rewritten
@@ -33,11 +34,8 @@ import (
 	"sync/atomic"
 	"time"
 
-	"repro/internal/checks"
-	"repro/internal/core"
 	"repro/internal/netlist"
 	"repro/internal/obs"
-	"repro/internal/timing"
 )
 
 // DiskCacheVersion identifies the entry format AND the verification
@@ -51,8 +49,7 @@ const DiskCacheVersion = "fcv-diskcache/v1"
 // processes sharing the directory. The zero value is not usable;
 // construct with OpenDiskCache.
 type DiskCache struct {
-	dir      string
-	maxBytes int64 // automatic post-write GC threshold; 0 = unbounded
+	dir string
 
 	// Lifetime tallies (since open), surfaced by Stats and `fcv cache`.
 	hits, misses, writes, evicts, corrupts atomic.Int64
@@ -61,13 +58,12 @@ type DiskCache struct {
 
 	// keyLocks stripe per-entry serialization across load, store and GC
 	// removal — the disk layer's analogue of the memory cache's per-key
-	// once. Without it a long-lived daemon and a GC (its own post-write
-	// bound, or `fcv cache gc` logic running in-process) can interleave
-	// on one entry: GC's Remove lands on a file a store just refreshed
-	// (evicting the *newest* entry), or load's corrupt-eviction Remove
-	// deletes a valid entry a concurrent store re-wrote after load read
-	// the stale bytes. Striped by path hash; collisions only add
-	// serialization, never unsafety.
+	// once. Without it a long-lived daemon and a GC (`fcv cache gc`
+	// logic running in-process) can interleave on one entry: GC's Remove
+	// lands on a file a store just refreshed (evicting the *newest*
+	// entry), or load's corrupt-eviction Remove deletes a valid entry a
+	// concurrent store re-wrote after load read the stale bytes. Striped
+	// by path hash; collisions only add serialization, never unsafety.
 	keyLocks [64]sync.Mutex
 }
 
@@ -94,47 +90,13 @@ func OpenDiskCache(dir string) (*DiskCache, error) {
 // Dir returns the cache's root directory.
 func (d *DiskCache) Dir() string { return d.dir }
 
-// SetMaxBytes bounds the cache: after every write exceeding the bound,
-// least-recently-used entries are evicted until the total fits. Zero
-// (the default) disables automatic eviction; GC can still be invoked
-// explicitly.
-func (d *DiskCache) SetMaxBytes(n int64) { d.maxBytes = n }
-
-// diskEntry is the serialized verification outcome. It stores the
-// summary the fleet's consumers read — verdict, inspect load, timing
-// numbers, provenanced findings — not the full object graph (a
-// core.Report holds the whole recognized circuit); loadReport rebuilds
-// a skeleton sufficient for report text, manifests and diffs.
+// diskEntry is the serialized verification outcome: the memory cache's
+// Record, under a header naming the key and format it belongs to.
 type diskEntry struct {
-	Version     string        `json:"version"`
-	Fingerprint string        `json:"fingerprint"`
-	ConfigKey   string        `json:"config_key"`
-	Design      string        `json:"design"`
-	Verdict     int           `json:"verdict"`
-	VerdictName string        `json:"verdict_name"`
-	InspectLoad int           `json:"inspect_load"`
-	MinPeriodPS float64       `json:"min_period_ps"`
-	Races       int           `json:"races"`
-	Paths       int           `json:"paths"`
-	Findings    []obs.Finding `json:"findings"`
-}
-
-// report rebuilds the skeletal core.Report for a disk hit: every field
-// the fleet's deterministic outputs consume (Report.Text, Counts,
-// HasViolations, manifests). Stage-level detail (Recognition, Checks,
-// Lint, per-path timing) is deliberately absent — consumers needing it
-// must verify fresh, without a disk cache.
-func (e *diskEntry) report() *core.Report {
-	return &core.Report{
-		Design:      e.Design,
-		Verdict:     checks.Verdict(e.Verdict),
-		InspectLoad: e.InspectLoad,
-		Timing: &timing.Report{
-			MinPeriodPS: e.MinPeriodPS,
-			Races:       make([]timing.Path, e.Races),
-			Paths:       make([]timing.Path, e.Paths),
-		},
-	}
+	Version     string `json:"version"`
+	Fingerprint string `json:"fingerprint"`
+	ConfigKey   string `json:"config_key"`
+	Record
 }
 
 // entryPath is the content address: sha256 over version, fingerprint
@@ -167,7 +129,7 @@ const (
 // mtime so GC's LRU ordering tracks use, not just creation. The whole
 // read-judge-evict sequence holds the entry's key lock so a concurrent
 // store or GC on the same key cannot interleave (see keyLocks).
-func (d *DiskCache) load(fp netlist.Fingerprint, cfg string) (*diskEntry, diskOutcome) {
+func (d *DiskCache) load(fp netlist.Fingerprint, cfg string) (*Record, diskOutcome) {
 	path := d.entryPath(fp, cfg)
 	mu := d.keyLock(path)
 	mu.Lock()
@@ -197,52 +159,36 @@ func (d *DiskCache) load(fp netlist.Fingerprint, cfg string) (*diskEntry, diskOu
 	d.hits.Add(1)
 	now := obs.Now()
 	os.Chtimes(path, now, now) // best effort: LRU recency
-	return &e, diskHit
+	return &e.Record, diskHit
 }
 
-// store persists a completed verification outcome and, when a size
-// bound is set, evicts LRU entries to honor it. Returns the eviction
-// count. Errors are advisory — a failed store leaves the cache exactly
-// as it was.
-func (d *DiskCache) store(fp netlist.Fingerprint, cfg string, rep *core.Report) (evicted int, err error) {
-	e := diskEntry{
+// store persists a completed verification record. Errors are advisory
+// — a failed store leaves the cache exactly as it was.
+func (d *DiskCache) store(fp netlist.Fingerprint, cfg string, rec *Record) error {
+	data, err := json.Marshal(&diskEntry{
 		Version:     DiskCacheVersion,
 		Fingerprint: fp.String(),
 		ConfigKey:   cfg,
-		Design:      rep.Design,
-		Verdict:     int(rep.Verdict),
-		VerdictName: rep.Verdict.String(),
-		InspectLoad: rep.InspectLoad,
-		Findings:    rep.Findings(),
-	}
-	if rep.Timing != nil {
-		e.MinPeriodPS = rep.Timing.MinPeriodPS
-		e.Races = len(rep.Timing.Races)
-		e.Paths = len(rep.Timing.Paths)
-	}
-	data, err := json.Marshal(&e)
+		Record:      *rec,
+	})
 	if err != nil {
-		return 0, fmt.Errorf("fleet: disk cache marshal: %w", err)
+		return fmt.Errorf("fleet: disk cache marshal: %w", err)
 	}
 	path := d.entryPath(fp, cfg)
 	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
-		return 0, fmt.Errorf("fleet: disk cache store: %w", err)
+		return fmt.Errorf("fleet: disk cache store: %w", err)
 	}
-	// The write holds the key lock (released before the post-write GC,
-	// which takes key locks itself) so a concurrent load or GC removal
+	// The write holds the key lock so a concurrent load or GC removal
 	// of this entry serializes against it.
 	mu := d.keyLock(path)
 	mu.Lock()
 	err = obs.WriteFileAtomic(path, data)
 	mu.Unlock()
 	if err != nil {
-		return 0, fmt.Errorf("fleet: disk cache store: %w", err)
+		return fmt.Errorf("fleet: disk cache store: %w", err)
 	}
 	d.writes.Add(1)
-	if d.maxBytes > 0 {
-		evicted, _, _ = d.GC(d.maxBytes)
-	}
-	return evicted, nil
+	return nil
 }
 
 // diskFile is one entry in a GC/Stats scan.

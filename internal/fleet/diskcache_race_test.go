@@ -5,7 +5,6 @@ import (
 	"sync"
 	"testing"
 
-	"repro/internal/core"
 	"repro/internal/designs"
 	"repro/internal/netlist"
 	"repro/internal/obs"
@@ -74,15 +73,15 @@ func TestDiskCacheConcurrentStoreLoadGC(t *testing.T) {
 	cfg := configKey(&copt)
 	type entry struct {
 		fp  netlist.Fingerprint
-		rep *core.Report
+		rec *Record
 	}
 	ents := make([]entry, len(items))
 	for i, it := range items {
-		rep, err := core.Verify(it.Circuit, copt)
+		rec, err := verifyRecord(it.Circuit, copt)
 		if err != nil {
 			t.Fatal(err)
 		}
-		ents[i] = entry{fp: it.Circuit.Fingerprint(), rep: rep}
+		ents[i] = entry{fp: it.Circuit.Fingerprint(), rec: rec}
 	}
 
 	const iters = 60
@@ -92,7 +91,7 @@ func TestDiskCacheConcurrentStoreLoadGC(t *testing.T) {
 		go func(g int) {
 			defer wg.Done()
 			for i := 0; i < iters; i++ {
-				if _, err := d.store(ents[g].fp, cfg, ents[g].rep); err != nil {
+				if err := d.store(ents[g].fp, cfg, ents[g].rec); err != nil {
 					t.Errorf("store: %v", err)
 					return
 				}
@@ -118,7 +117,7 @@ func TestDiskCacheConcurrentStoreLoadGC(t *testing.T) {
 		t.Errorf("corrupt count = %d after churn, want 0", got)
 	}
 	// Quiescent round-trip: the cache still works.
-	if _, err := d.store(ents[0].fp, cfg, ents[0].rep); err != nil {
+	if err := d.store(ents[0].fp, cfg, ents[0].rec); err != nil {
 		t.Fatal(err)
 	}
 	if _, out := d.load(ents[0].fp, cfg); out != diskHit {

@@ -119,14 +119,11 @@ type Result struct {
 	// than this item's own lookup.
 	Cached bool
 	// DiskHit reports the result was replayed from the persistent disk
-	// cache (the Report is then a stored summary: verdict, inspect
-	// load, timing numbers and findings, without stage-level detail).
+	// cache.
 	DiskHit bool
-	// stored carries the disk entry's findings on a DiskHit; Findings
-	// returns them instead of recomputing from the skeleton report.
-	stored []obs.Finding
-	// Report is the CBV outcome (nil when Err is set).
-	Report *core.Report
+	// Record is the CBV outcome (nil when Err is set). A miss, a memory
+	// hit, a disk hit and a cacheless run all yield the same record.
+	Record *Record
 	// Err is the per-item failure (recognition error, lint gate, …);
 	// one failing item does not abort the fleet.
 	Err error
@@ -168,7 +165,7 @@ func (r *Result) EffectiveVerdict() checks.Verdict {
 	if r.composeSet {
 		return r.composed
 	}
-	return r.Report.Verdict
+	return r.Record.Verdict
 }
 
 // VerdictString is the item's manifest verdict: the CBV verdict, or
@@ -187,6 +184,7 @@ func (r *Result) VerdictString() string {
 // the same finding). A lint-gate abort additionally surfaces the gate's
 // own diagnostics, each under its stable lint rule ID, so the manifest
 // records *why* the gate tripped, not just that it did.
+// The slice may be the cached record's own: callers must not modify it.
 func (r *Result) Findings() []obs.Finding {
 	if r.Err != nil {
 		var gate *core.LintGateError
@@ -204,11 +202,8 @@ func (r *Result) Findings() []obs.Finding {
 		}}
 	}
 	var base []obs.Finding
-	switch {
-	case r.stored != nil:
-		base = r.stored
-	case r.Report != nil:
-		base = r.Report.Findings()
+	if r.Record != nil {
+		base = r.Record.Findings
 	}
 	if len(r.extra) == 0 {
 		return base
@@ -291,7 +286,15 @@ func Verify(items []Item, opt Options) *Report {
 		cache = NewCache()
 	}
 	var hits, misses, inflight, busyNS int64
-	var dHits, dMisses, dCorrupt, dWrites, dEvicted int64
+	var dHits, dMisses, dCorrupt, dWrites int64
+	// Cache lookups run in input order (item i's after item i-1's), so
+	// the miss for a key — with the stage spans and events under it —
+	// goes to the first item carrying the key at any worker count.
+	looked := make([]chan struct{}, len(items)+1)
+	for i := range looked {
+		looked[i] = make(chan struct{})
+	}
+	close(looked[0])
 	var wg sync.WaitGroup
 	next := make(chan int)
 	for w := 0; w < workers; w++ {
@@ -317,22 +320,29 @@ func Verify(items []Item, opt Options) *Report {
 					// before the cache (or no-cache branch) does again.
 					circ = sync.OnceValues(it.Lazy)
 				}
+				inTurn := func(lookup func()) {
+					<-looked[i]
+					lookup()
+					close(looked[i+1])
+				}
 				work := func() {
 					res.Fingerprint = it.Key
 					if res.Fingerprint == (netlist.Fingerprint{}) {
 						c, err := circ()
 						if err != nil {
 							res.Err = err
+							if cache != nil {
+								inTurn(func() {})
+							}
 							return
 						}
 						res.Fingerprint = c.Fingerprint()
 					}
 					if cache != nil {
-						e, fresh, blocked := cache.verify(res.Fingerprint, cfg, circ, copt, opt.DiskCache)
-						res.Report, res.Err = e.rep, e.err
+						e, fresh, blocked := cache.verify(res.Fingerprint, cfg, circ, copt, opt.DiskCache, inTurn)
+						res.Record, res.Err = e.rec, e.err
 						res.Cached = !fresh
 						res.DiskHit = e.disk == diskHit
-						res.stored = e.findings
 						if fresh {
 							atomic.AddInt64(&misses, 1)
 							sc.Emit(obs.Event{Type: "cache-miss", Detail: res.Fingerprint.Short()})
@@ -353,7 +363,6 @@ func Verify(items []Item, opt Options) *Report {
 							if e.diskWrote {
 								atomic.AddInt64(&dWrites, 1)
 							}
-							atomic.AddInt64(&dEvicted, int64(e.diskEvicted))
 						} else {
 							atomic.AddInt64(&hits, 1)
 							sc.Emit(obs.Event{Type: "cache-hit", Detail: res.Fingerprint.Short()})
@@ -367,7 +376,7 @@ func Verify(items []Item, opt Options) *Report {
 							res.Err = err
 							return
 						}
-						res.Report, res.Err = core.Verify(c, copt)
+						res.Record, res.Err = verifyRecord(c, copt)
 					}
 				}
 				if opt.PprofLabels {
@@ -378,8 +387,6 @@ func Verify(items []Item, opt Options) *Report {
 				res.Elapsed = obs.Now().Sub(t0)
 				sp.End()
 				if sc != nil {
-					// Findings() recomputes from the report — don't pay
-					// for it when no event stream is attached.
 					for _, f := range res.Findings() {
 						sc.Emit(obs.Event{Type: "finding", ID: f.ID, Detail: f.Check + ": " + f.Subject})
 					}
@@ -400,6 +407,9 @@ func Verify(items []Item, opt Options) *Report {
 	}
 	close(next)
 	wg.Wait()
+	if cache != nil {
+		cache.release(rep.Results, cfg)
+	}
 	rep.Hits, rep.Misses = int(hits), int(misses)
 	rep.DiskHits, rep.DiskMisses, rep.DiskCorrupt = int(dHits), int(dMisses), int(dCorrupt)
 	rep.Elapsed = obs.Now().Sub(start)
@@ -421,7 +431,6 @@ func Verify(items []Item, opt Options) *Report {
 			opt.Obs.Add("fleet.diskcache.miss", int64(dMisses))
 			opt.Obs.Add("fleet.diskcache.corrupt", int64(dCorrupt))
 			opt.Obs.Add("fleet.diskcache.write", dWrites)
-			opt.Obs.Add("fleet.diskcache.evict", int64(dEvicted))
 		}
 		opt.Obs.SetGauge("fleet.cache.inflight", float64(inflight))
 		opt.Obs.SetGauge("fleet.workers", float64(workers))
@@ -493,14 +502,11 @@ func (r *Report) Text() string {
 			fmt.Fprintf(&sb, "  %-20s %s  ERROR: %v\n", res.Name, res.Fingerprint.Short(), res.Err)
 			continue
 		}
-		rep := res.Report
-		minPeriod := rep.Timing.MinPeriodPS
-		if res.ComposedMinPeriodPS > minPeriod {
-			minPeriod = res.ComposedMinPeriodPS
-		}
+		rec := res.Record
+		minPeriod := max(rec.MinPeriodPS, res.ComposedMinPeriodPS)
 		fmt.Fprintf(&sb, "  %-20s %s  %-9s inspect=%-3d races=%-2d min-period=%.0fps\n",
-			res.Name, res.Fingerprint.Short(), res.EffectiveVerdict(), rep.InspectLoad,
-			len(rep.Timing.Races), minPeriod)
+			res.Name, res.Fingerprint.Short(), res.EffectiveVerdict(), rec.InspectLoad,
+			rec.Races, minPeriod)
 	}
 	pass, inspect, violation, failed := r.Counts()
 	fmt.Fprintf(&sb, "corpus: %d designs — pass=%d inspect=%d violation=%d error=%d\n",

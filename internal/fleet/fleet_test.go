@@ -1,12 +1,14 @@
 package fleet
 
 import (
+	"sync"
 	"testing"
 
 	"repro/internal/core"
 	"repro/internal/designs"
 	"repro/internal/netlist"
 	"repro/internal/process"
+	"repro/internal/timing"
 )
 
 // zoo returns the standard design corpus in fixed order.
@@ -51,6 +53,92 @@ func TestDeterministicAcrossWorkerCounts(t *testing.T) {
 	if want == "" {
 		t.Fatal("no report produced")
 	}
+}
+
+// TestCacheBudgetKeepsRunCounts: a run pins every record it looks up,
+// so even a store whose budget holds nothing serves a run's structural
+// twins from memory — the same hit/miss counts at any -j — and only
+// evicts once the run is over.
+func TestCacheBudgetKeepsRunCounts(t *testing.T) {
+	defer func(b int64) { StoreBudget = b }(StoreBudget)
+	StoreBudget = 0
+	items := append(zoo(), zoo()...)
+	for _, workers := range []int{1, 4, 16} {
+		cache := NewCache()
+		for run := 0; run < 2; run++ {
+			rep := Verify(items, Options{Core: coreOpts(), Cache: cache, Workers: workers})
+			if rep.Misses != len(zoo()) || rep.Hits != len(zoo()) {
+				t.Fatalf("workers=%d run %d: hits=%d misses=%d, want %d/%d",
+					workers, run, rep.Hits, rep.Misses, len(zoo()), len(zoo()))
+			}
+			if n := cache.Len(); n != 0 {
+				t.Fatalf("workers=%d run %d: %d records survived an empty budget", workers, run, n)
+			}
+		}
+	}
+}
+
+// TestCachePinsAcrossConcurrentRuns: another run's trim never drops a
+// record that a running verification has looked up. The first run
+// stalls between two structural twins while a second run empties the
+// zero-budget store; the twin still hits.
+func TestCachePinsAcrossConcurrentRuns(t *testing.T) {
+	defer func(b int64) { StoreBudget = b }(StoreBudget)
+	StoreBudget = 0
+	cache := NewCache()
+	started, gate := make(chan struct{}), make(chan struct{})
+	stalled := designs.InverterChain(10)
+	items := []Item{
+		{Name: "first", Circuit: designs.InverterChain(8)},
+		{Name: "stalled", Key: stalled.Fingerprint(), Lazy: func() (*netlist.Circuit, error) {
+			close(started)
+			<-gate
+			return stalled, nil
+		}},
+		{Name: "twin", Circuit: designs.InverterChain(8)},
+	}
+	done := make(chan *Report)
+	go func() { done <- Verify(items, Options{Core: coreOpts(), Cache: cache, Workers: 1}) }()
+	<-started
+	Verify([]Item{{Name: "other", Circuit: designs.DominoAdder(8)}}, Options{Core: coreOpts(), Cache: cache})
+	close(gate)
+	if rep := <-done; rep.Hits != 1 || rep.Misses != 2 {
+		t.Fatalf("hits=%d misses=%d, want 1/2: a concurrent trim evicted a looked-up record", rep.Hits, rep.Misses)
+	}
+}
+
+// TestManifestsShareRecordsSafely: runs that hit the same cached
+// records build and encode their manifests at once. Encoding fills in
+// empty evidence lists — timing findings carry none — so a manifest
+// must not write into the shared record. Run under -race.
+func TestManifestsShareRecordsSafely(t *testing.T) {
+	opt := coreOpts()
+	opt.Clock = timing.TwoPhase(200) // short enough that paths fail setup
+	cache := NewCache()
+	m := BuildManifest("fcv verify", Verify(zoo(), Options{Core: opt, Cache: cache}), nil)
+	timingFindings := 0
+	for _, it := range m.Items {
+		for _, f := range it.Findings {
+			if f.Source == "timing" {
+				timingFindings++
+			}
+		}
+	}
+	if timingFindings == 0 {
+		t.Fatal("corpus produced no timing findings to share")
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			rep := Verify(zoo(), Options{Core: opt, Cache: cache})
+			if _, err := BuildManifest("fcv verify", rep, nil).JSON(); err != nil {
+				t.Error(err)
+			}
+		}()
+	}
+	wg.Wait()
 }
 
 // TestCacheHitsAndMisses pins the cache arithmetic: a cold pass over n
@@ -122,7 +210,7 @@ func TestConfigChangesInvalidate(t *testing.T) {
 	}
 
 	clocked := coreOpts()
-	clocked.Clock = rep.Results[0].Report.Clock // the resolved default
+	clocked.Clock = low.ResolvedClock() // the resolved default
 	clocked.Proc = low.Proc
 	rep2 := Verify(items, Options{Core: clocked, Cache: cache})
 	if rep2.Hits != 1 {

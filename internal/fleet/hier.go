@@ -20,6 +20,7 @@ import (
 	"fmt"
 	"io"
 	"sync"
+	"unsafe"
 
 	"repro/internal/checks"
 	"repro/internal/hier"
@@ -49,15 +50,15 @@ const HierKeySalt = "|hier-scope/v1"
 // parents, top last.
 func VerifyHier(lib *netlist.Library, top *netlist.Circuit, opt Options) (*Report, error) {
 	// The hier side-tables — interface/boundary memos and the per-cell
-	// fingerprint memo — live on the verification cache, so resolve it
-	// up front and share one even when the caller did not ask for
-	// memoization.
+	// fingerprint memo — live in the verification cache's store, so
+	// resolve it up front and share one even when the caller did not
+	// ask for memoization.
 	if opt.Cache == nil {
 		opt.Cache = NewCache()
 	}
 	cache := opt.Cache
 
-	hfp, err := lib.HierFingerprintMemo(top, cache.hierMemo)
+	hfp, err := cache.HierFingerprint(lib, top)
 	if err != nil {
 		return nil, err
 	}
@@ -148,24 +149,28 @@ func VerifyHier(lib *netlist.Library, top *netlist.Circuit, opt Options) (*Repor
 	opt.KeySalt += fmt.Sprintf("%s|inline=%d", HierKeySalt, cutoff)
 	rep := Verify(items, opt)
 
-	// Port interfaces, memoized on (DAG, cutoff) across runs: resolving
-	// one recurses through kept children, so only cells under an edited
-	// ancestor are ever re-derived.
+	// Port interfaces and boundary findings, memoized on (DAG, cutoff)
+	// across runs: resolving one recurses through kept children, so only
+	// cells under an edited ancestor are ever re-derived.
 	var ifcOf func(name string) (*hier.Interface, error)
-	ifcOf = func(name string) (*hier.Interface, error) {
-		k := hierKey{fp: dag(name), cutoff: cutoff}
-		if ifc, ok := cache.hierIfc(k); ok {
-			return ifc, nil
-		}
+	scopeOf := func(name string) (*netlist.Circuit, map[string]*hier.Interface, error) {
 		children := make(map[string]*hier.Interface)
 		for _, ch := range keptChildren(name) {
 			ci, err := ifcOf(ch)
 			if err != nil {
-				return nil, err
+				return nil, nil, err
 			}
 			children[ch] = ci
 		}
 		e, err := effOf(name)
+		return e, children, err
+	}
+	ifcOf = func(name string) (*hier.Interface, error) {
+		k := hierKey{fp: dag(name), cutoff: cutoff}
+		if ifc, ok := cache.ifcs.Get(k); ok {
+			return ifc, nil
+		}
+		e, children, err := scopeOf(name)
 		if err != nil {
 			return nil, err
 		}
@@ -173,23 +178,16 @@ func VerifyHier(lib *netlist.Library, top *netlist.Circuit, opt Options) (*Repor
 		if err != nil {
 			return nil, err
 		}
-		cache.setHierIfc(k, ifc)
+		// Racing writers store identical values: last-write-wins is sound.
+		cache.ifcs.Put(k, ifc, int64(unsafe.Sizeof(*ifc))+int64(len(ifc.Ports))*int64(unsafe.Sizeof(hier.PortClass{})))
 		return ifc, nil
 	}
 	boundaryOf := func(name string) ([]obs.Finding, error) {
-		k := hierKey{fp: dag(name), cutoff: cutoff}
-		if bf, ok := cache.hierBoundary(k); ok {
+		k := boundKey{fp: dag(name), cutoff: cutoff}
+		if bf, ok := cache.bounds.Get(k); ok {
 			return bf, nil
 		}
-		children := make(map[string]*hier.Interface)
-		for _, ch := range keptChildren(name) {
-			ci, err := ifcOf(ch)
-			if err != nil {
-				return nil, err
-			}
-			children[ch] = ci
-		}
-		e, err := effOf(name)
+		e, children, err := scopeOf(name)
 		if err != nil {
 			return nil, err
 		}
@@ -197,7 +195,7 @@ func VerifyHier(lib *netlist.Library, top *netlist.Circuit, opt Options) (*Repor
 		if err != nil {
 			return nil, err
 		}
-		cache.setHierBoundary(k, bf)
+		cache.bounds.Put(k, bf, findingsBytes(bf))
 		return bf, nil
 	}
 
@@ -226,8 +224,8 @@ func VerifyHier(lib *netlist.Library, top *netlist.Circuit, opt Options) (*Repor
 		if res.Err != nil {
 			continue
 		}
-		v := res.Report.Verdict
-		minP := res.Report.Timing.MinPeriodPS
+		v := res.Record.Verdict
+		minP := res.Record.MinPeriodPS
 		children := keptChildren(name)
 		if len(children) > 0 {
 			bf, err := boundaryOf(name)
@@ -276,14 +274,8 @@ func VerifyHier(lib *netlist.Library, top *netlist.Circuit, opt Options) (*Repor
 		opt.Obs.Add("fleet.subcell.miss", int64(len(rep.Results)-hits))
 		opt.Obs.Add("fleet.subcell.compose", composed)
 	}
-	// Bound the side-tables for long-running daemons: entries keyed by
-	// superseded DAG hashes (earlier edit iterations) are pruned once
-	// they outnumber this run's live set by a wide margin.
-	live := make(map[hierKey]bool, len(units))
-	for _, name := range units {
-		live[hierKey{fp: dag(name), cutoff: cutoff}] = true
-	}
-	cache.pruneHier(live)
+	// Trim again: composition stored side-table entries after Verify's.
+	cache.store.Trim()
 	return rep, nil
 }
 

@@ -1,11 +1,11 @@
 package fleet
 
 import (
+	"fmt"
 	"sort"
 	"testing"
 
 	"repro/internal/designs"
-	"repro/internal/hier"
 	"repro/internal/netlist"
 )
 
@@ -249,37 +249,37 @@ func TestVerifyHierInlineCutoffKeying(t *testing.T) {
 	}
 }
 
-// TestCachePruneHier: the hier side-tables evict keys outside the live
-// set once they outgrow it by hierSideSlack, and stay put below that —
-// bounding a daemon's memory across edit iterations.
+// TestCachePruneHier: the hier side-tables live in the cache's store.
+// A store whose budget holds nothing is emptied after every run, and
+// VerifyHier over it still reproduces an unbounded cache's report,
+// re-deriving every record and side-table entry it lost.
 func TestCachePruneHier(t *testing.T) {
+	lib, top := designs.DeepTree(3, 4, 0.5)
+	topC := lib.Cell(top)
+	want, err := VerifyHier(lib, topC, Options{Core: coreOpts(), Cache: NewCache()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func(b int64) { StoreBudget = b }(StoreBudget)
+	StoreBudget = 0
 	c := NewCache()
-	key := func(i int) hierKey {
-		var fp netlist.Fingerprint
-		fp[0] = byte(i)
-		fp[1] = byte(i >> 8)
-		return hierKey{fp: fp, cutoff: 16}
-	}
-	live := map[hierKey]bool{key(0): true, key(1): true}
-	for i := 0; i <= 2*hierSideSlack; i++ {
-		c.setHierIfc(key(i), &hier.Interface{})
-		c.setHierBoundary(key(i), nil)
-	}
-	c.pruneHier(live)
-	if len(c.hierIfcs) != len(live) || len(c.hierBound) != len(live) {
-		t.Fatalf("after prune: %d ifcs / %d boundaries, want %d live each",
-			len(c.hierIfcs), len(c.hierBound), len(live))
-	}
-	for k := range live {
-		if _, ok := c.hierIfc(k); !ok {
-			t.Errorf("live key %v evicted", k)
+	for run := 0; run < 2; run++ {
+		rep, err := VerifyHier(lib, topC, Options{Core: coreOpts(), Cache: c, Workers: 4})
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
-	// Below the slack threshold nothing is touched.
-	c.setHierIfc(key(2), &hier.Interface{})
-	c.pruneHier(live)
-	if _, ok := c.hierIfc(key(2)); !ok {
-		t.Error("prune below threshold evicted an entry")
+		if rep.Text() != want.Text() {
+			t.Fatalf("run %d over an empty-budget store:\n%s\nwant:\n%s", run, rep.Text(), want.Text())
+		}
+		if got, exp := fmt.Sprint(hierFindingIDs(rep)), fmt.Sprint(hierFindingIDs(want)); got != exp {
+			t.Fatalf("run %d findings %s, want %s", run, got, exp)
+		}
+		if rep.Hits != want.Hits || rep.Misses != want.Misses {
+			t.Fatalf("run %d: hits=%d misses=%d, want the cold run's %d/%d", run, rep.Hits, rep.Misses, want.Hits, want.Misses)
+		}
+		if st := c.Store().Stats(); st.Entries != 0 || st.Bytes != 0 || st.Evictions == 0 {
+			t.Fatalf("run %d left store %+v, want it empty after evicting", run, st)
+		}
 	}
 }
 

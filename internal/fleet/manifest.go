@@ -3,6 +3,7 @@ package fleet
 import (
 	"fmt"
 	"io"
+	"slices"
 
 	"repro/internal/netlist"
 	"repro/internal/obs"
@@ -26,10 +27,12 @@ func BuildManifest(tool string, rep *Report, col *obs.Collector) *obs.Manifest {
 			Verdict:     res.VerdictString(),
 			Cached:      res.Cached,
 			ElapsedMS:   float64(res.Elapsed.Microseconds()) / 1000,
-			Findings:    res.Findings(),
-			Subcell:     res.Subcell,
-			Parent:      res.Parent,
-			DiskHit:     res.DiskHit,
+			// A copy: encoding fills in empty evidence lists, and the
+			// findings may be a cached record's own.
+			Findings: slices.Clone(res.Findings()),
+			Subcell:  res.Subcell,
+			Parent:   res.Parent,
+			DiskHit:  res.DiskHit,
 		})
 	}
 	p, i, v, f := rep.Counts()

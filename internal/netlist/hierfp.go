@@ -28,7 +28,8 @@ import (
 	"fmt"
 	"math"
 	"sort"
-	"sync"
+
+	"repro/internal/lru"
 )
 
 // fpNeutralInst is the neutral instance seed CellFingerprint uses in
@@ -122,44 +123,33 @@ func (h *HierFP) Info(name string) *CellInfo { return h.Cells[name] }
 // miss only costs the refinement it would have skipped, never a wrong
 // value. After a one-leaf edit, a warm rebuild refines only the edited
 // cell and its ancestors (whose child labels moved); every other cell
-// is one buffer hash.
+// is one buffer hash. The entries live in an lru store, so eviction is
+// always safe: an evicted entry costs one re-refinement on next sight.
 type HierFPMemo struct {
-	mu  sync.Mutex
-	m   map[[sha256.Size]byte]hierFPMemoEntry
-	buf []byte
+	m lru.View[hierFPMemoKey, hierFPMemoEntry]
 }
+
+type hierFPMemoKey [sha256.Size]byte
 
 type hierFPMemoEntry struct {
 	dag      Fingerprint
 	boundary uint64
 }
 
-// NewHierFPMemo returns an empty memo, safe for concurrent use.
+// hierFPMemoEntryBytes is one entry's accounted footprint: boxed key
+// and value plus the store's per-entry bookkeeping.
+const hierFPMemoEntryBytes = 192
+
+// NewHierFPMemo returns an empty memo with a store of its own, safe for
+// concurrent use.
 func NewHierFPMemo() *HierFPMemo {
-	return &HierFPMemo{m: make(map[[sha256.Size]byte]hierFPMemoEntry)}
+	return NewHierFPMemoIn(lru.New[any, any](lru.Budget))
 }
 
-// hierMemoSlack bounds the memo relative to the latest build's live
-// key set: pruning starts only past this multiple, so re-verifying one
-// design never evicts, while a daemon's edit history (one superseded
-// key per edited cell per iteration) cannot grow the memo unboundedly.
-const hierMemoSlack = 8
-
-// prune drops entries outside live once the memo has outgrown
-// hierMemoSlack times it. Eviction is always safe: a pruned entry costs
-// one re-refinement on next sight, never a wrong value. Concurrent
-// builds can prune each other's fresh entries — also only a perf cost.
-func (mm *HierFPMemo) prune(live map[[sha256.Size]byte]bool) {
-	mm.mu.Lock()
-	defer mm.mu.Unlock()
-	if len(mm.m) <= hierMemoSlack*len(live) {
-		return
-	}
-	for k := range mm.m {
-		if !live[k] {
-			delete(mm.m, k)
-		}
-	}
+// NewHierFPMemoIn returns a memo whose entries live in store, under the
+// budget and recency order the store's other tables share.
+func NewHierFPMemoIn(store *lru.Cache[any, any]) *HierFPMemo {
+	return &HierFPMemo{m: lru.View[hierFPMemoKey, hierFPMemoEntry]{S: store}}
 }
 
 // rawKey digests every input the refinement reads: node classes, port
@@ -168,8 +158,9 @@ func (mm *HierFPMemo) prune(live map[[sha256.Size]byte]bool) {
 // labels; and the port declaration order the boundary fold consumes.
 // Names of devices, instances and non-supply nodes are structurally
 // irrelevant and excluded (node identity enters through indices).
-func (mm *HierFPMemo) rawKey(c *Circuit, childLabels []uint64) [sha256.Size]byte {
-	b := mm.buf[:0]
+// It encodes into buf, reused across one build's cells, and returns it.
+func rawKey(buf []byte, c *Circuit, childLabels []uint64) ([]byte, hierFPMemoKey) {
+	b := buf[:0]
 	u64 := func(v uint64) { b = binary.LittleEndian.AppendUint64(b, v) }
 	u64(uint64(len(c.Nodes)))
 	u64(uint64(len(c.Devices)))
@@ -239,8 +230,7 @@ func (mm *HierFPMemo) rawKey(c *Circuit, childLabels []uint64) [sha256.Size]byte
 	for _, p := range c.Ports {
 		u64(uint64(p))
 	}
-	mm.buf = b
-	return sha256.Sum256(b)
+	return b, sha256.Sum256(b)
 }
 
 // HierFingerprint builds the fingerprint DAG for the hierarchy rooted
@@ -253,14 +243,12 @@ func (l *Library) HierFingerprint(top *Circuit) (*HierFP, error) {
 }
 
 // HierFingerprintMemo is HierFingerprint with cross-call memoization of
-// the per-cell refinement work (memo may be nil).
+// the per-cell refinement work (memo may be nil). It trims the memo's
+// store when it returns.
 func (l *Library) HierFingerprintMemo(top *Circuit, memo *HierFPMemo) (*HierFP, error) {
 	h := &HierFP{Top: top.Name, Cells: make(map[string]*CellInfo)}
 	state := make(map[string]int) // 1 = in stack, 2 = done
-	var live map[[sha256.Size]byte]bool
-	if memo != nil {
-		live = make(map[[sha256.Size]byte]bool)
-	}
+	var buf []byte
 	var visit func(c *Circuit) (*CellInfo, error)
 	visit = func(c *Circuit) (*CellInfo, error) {
 		switch state[c.Name] {
@@ -297,15 +285,11 @@ func (l *Library) HierFingerprintMemo(top *Circuit, memo *HierFPMemo) (*HierFP, 
 				info.Children = append(info.Children, inst.Cell)
 			}
 		}
-		var key [sha256.Size]byte
+		var key hierFPMemoKey
 		var hit bool
 		if memo != nil {
-			memo.mu.Lock()
-			key = memo.rawKey(c, childLabels)
-			ent, ok := memo.m[key]
-			memo.mu.Unlock()
-			live[key] = true
-			if ok {
+			buf, key = rawKey(buf, c, childLabels)
+			if ent, ok := memo.m.Get(key); ok {
 				info.DAG, info.Boundary = ent.dag, ent.boundary
 				hit = true
 			}
@@ -326,9 +310,7 @@ func (l *Library) HierFingerprintMemo(top *Circuit, memo *HierFPMemo) (*HierFP, 
 			hw.Write(buf[:])
 			copy(info.DAG[:], hw.Sum(nil))
 			if memo != nil {
-				memo.mu.Lock()
-				memo.m[key] = hierFPMemoEntry{dag: info.DAG, boundary: info.Boundary}
-				memo.mu.Unlock()
+				memo.m.Put(key, hierFPMemoEntry{dag: info.DAG, boundary: info.Boundary}, hierFPMemoEntryBytes)
 			}
 		}
 
@@ -341,7 +323,7 @@ func (l *Library) HierFingerprintMemo(top *Circuit, memo *HierFPMemo) (*HierFP, 
 		return nil, err
 	}
 	if memo != nil {
-		memo.prune(live)
+		memo.m.S.Trim()
 	}
 	return h, nil
 }

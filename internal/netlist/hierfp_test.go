@@ -3,6 +3,8 @@ package netlist
 import (
 	"fmt"
 	"testing"
+
+	"repro/internal/lru"
 )
 
 // hierLib builds a three-level library: leaf (inverter pair), mid (two
@@ -284,40 +286,36 @@ func TestHierFingerprintErrors(t *testing.T) {
 	}
 }
 
-// TestHierFPMemoPrune: a long-lived memo (a daemon's edit loop) is
-// bounded — once superseded keys outnumber the latest build's live set
-// by hierMemoSlack, a rebuild prunes them — and pruning never changes
-// the hashes a rebuild produces.
+// TestHierFPMemoPrune: the memo's entries live in an lru store, so a
+// long-lived memo (a daemon's edit loop) stays within the store's
+// budget — every build trims it — and eviction never changes the
+// hashes a rebuild produces.
 func TestHierFPMemoPrune(t *testing.T) {
-	memo := NewHierFPMemo()
 	// Each tweak moves the leaf's key and, through the child labels,
-	// mid's and top's: 3 fresh entries per iteration.
-	iters := 2*hierMemoSlack + 1
-	for i := 0; i <= iters; i++ {
+	// mid's and top's: 3 fresh entries per iteration against room for 4.
+	budget := int64(4 * hierFPMemoEntryBytes)
+	store := lru.New[any, any](budget)
+	memo := NewHierFPMemoIn(store)
+	for i := 0; i < 10; i++ {
 		lib := hierLib(float64(i) * 0.01)
-		if _, err := lib.HierFingerprintMemo(lib.Cell("top"), memo); err != nil {
+		want, err := lib.HierFingerprint(lib.Cell("top"))
+		if err != nil {
 			t.Fatal(err)
 		}
-	}
-	memo.mu.Lock()
-	size := len(memo.m)
-	memo.mu.Unlock()
-	if size > hierMemoSlack*3 {
-		t.Errorf("memo holds %d entries after %d edit iterations, want <= %d", size, iters, hierMemoSlack*3)
-	}
-	// The surviving memo still replays the last build correctly.
-	lib := hierLib(float64(iters) * 0.01)
-	want, err := lib.HierFingerprint(lib.Cell("top"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := lib.HierFingerprintMemo(lib.Cell("top"), memo)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, name := range want.Order {
-		if got.Cells[name].DAG != want.Cells[name].DAG {
-			t.Errorf("cell %s: memoized DAG %s != fresh %s", name, got.Cells[name].DAG, want.Cells[name].DAG)
+		got, err := lib.HierFingerprintMemo(lib.Cell("top"), memo)
+		if err != nil {
+			t.Fatal(err)
 		}
+		for _, name := range want.Order {
+			if got.Cells[name].DAG != want.Cells[name].DAG {
+				t.Errorf("iteration %d cell %s: memoized DAG %s != fresh %s", i, name, got.Cells[name].DAG, want.Cells[name].DAG)
+			}
+		}
+		if st := store.Stats(); st.Bytes > budget {
+			t.Fatalf("iteration %d: memo holds %d bytes, budget %d", i, st.Bytes, budget)
+		}
+	}
+	if store.Stats().Evictions == 0 {
+		t.Error("ten edit iterations never evicted from a four-entry budget")
 	}
 }

@@ -30,6 +30,8 @@ func (s *Server) metricsSnapshot() obs.MetricsSnapshot {
 	snap.Counters["serve.verdict.inspect"] = s.tallyInspect.Load()
 	snap.Counters["serve.verdict.violation"] = s.tallyViolation.Load()
 	snap.Counters["serve.verdict.error"] = s.tallyError.Load()
+	store := s.cfg.Cache.Store().Stats()
+	snap.Counters["serve.store.evictions"] = store.Evictions
 	if s.cfg.DiskCache != nil {
 		snap.Counters["serve.disk.hits"] = s.diskHits.Load()
 		snap.Counters["serve.disk.misses"] = s.diskMisses.Load()
@@ -39,7 +41,9 @@ func (s *Server) metricsSnapshot() obs.MetricsSnapshot {
 	snap.Gauges["serve.pool.available"] = float64(s.pool.available())
 	snap.Gauges["serve.queue.depth"] = float64(s.pool.waiting())
 	snap.Gauges["serve.queue.limit"] = float64(s.pool.maxQueue)
-	snap.Gauges["serve.parse_cache.entries"] = float64(s.parses.len())
+	snap.Gauges["serve.parse_cache.entries"] = float64(s.parses.Len())
+	snap.Gauges["serve.store.entries"] = float64(store.Entries)
+	snap.Gauges["serve.store.bytes"] = float64(store.Bytes)
 	snap.Gauges["serve.slow_traces.retained"] = float64(len(s.ring.index()))
 	if s.draining.Load() {
 		snap.Gauges["serve.draining"] = 1

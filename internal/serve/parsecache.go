@@ -1,122 +1,46 @@
 package serve
 
 import (
-	"container/list"
-	"sync"
+	"unsafe"
 
 	"repro/internal/fleet"
 	"repro/internal/netlist"
 )
 
-// parseCache memoizes deck parsing across requests: an LRU keyed on the
-// deck's sha256 plus every parameter that changes the parse result
-// (src name, ?top=, ?cells=). The agent-loop workload re-submits the
-// same deck many times per minute (verify, tweak one device, verify
-// again), and while the *verification* layers already dedupe via the
-// structural-fingerprint caches, the parse itself — tokenizing,
-// subckt expansion, flattening — ran from scratch on every request.
-// A byte-identical resubmit now skips straight to warm []fleet.Item.
-//
-// Sharing parsed items across concurrent requests is safe because the
-// verification pipeline treats netlist.Circuit as read-only: the only
-// lazily-cached state (the vdd/vss node lookups) is populated during
-// parsing, before the items ever enter the cache.
-type parseCache struct {
-	mu      sync.Mutex
-	max     int
-	order   *list.List               // front = most recent; values are *parseEntry
-	entries map[string]*list.Element // key -> element
-}
+// parseKey names one memoized parse in the daemon's store: the deck's
+// sha256 plus every parameter that changes the parse (src name, ?top=,
+// ?cells=, ?hier=). An agent loop resubmits the same deck many times
+// per minute, and a byte-identical resubmit skips tokenizing and
+// flattening straight to warm items. Sharing them across requests is
+// safe: verification treats netlist.Circuit as read-only.
+type parseKey string
 
-// parseEntry is one memoized parse. Flat requests fill items; ?hier=1
-// requests instead keep the library and resolved top so VerifyHier can
-// walk the hierarchy (the two shapes never share a key — the hier flag
-// is part of it).
+// parseEntry is one memoized parse: flat requests fill items, ?hier=1
+// requests keep the library and resolved top for VerifyHier.
 type parseEntry struct {
-	key   string
 	items []fleet.Item
 	lib   *netlist.Library
 	top   *netlist.Circuit
 }
 
-// newParseCache builds a cache holding up to max decks. max <= 0
-// disables caching (every get misses, puts are dropped).
-func newParseCache(max int) *parseCache {
-	return &parseCache{
-		max:     max,
-		order:   list.New(),
-		entries: make(map[string]*list.Element),
+// bytes estimates the memory the parsed circuits hold.
+func (e *parseEntry) bytes() int64 {
+	n := int64(unsafe.Sizeof(*e))
+	for _, it := range e.items {
+		n += circuitBytes(it.Circuit)
 	}
+	if e.lib != nil {
+		for _, name := range e.lib.Cells() {
+			n += circuitBytes(e.lib.Cell(name))
+		}
+		n += circuitBytes(e.top) // counted twice when top is a library cell
+	}
+	return n
 }
 
-// get returns the cached parse for key, refreshing its recency.
-func (c *parseCache) get(key string) ([]fleet.Item, bool) {
-	if c == nil || c.max <= 0 {
-		return nil, false
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	el, ok := c.entries[key]
-	if !ok {
-		return nil, false
-	}
-	c.order.MoveToFront(el)
-	return el.Value.(*parseEntry).items, true
-}
-
-// getHier returns the cached hierarchical parse for key, refreshing
-// its recency.
-func (c *parseCache) getHier(key string) (*netlist.Library, *netlist.Circuit, bool) {
-	if c == nil || c.max <= 0 {
-		return nil, nil, false
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	el, ok := c.entries[key]
-	if !ok {
-		return nil, nil, false
-	}
-	c.order.MoveToFront(el)
-	e := el.Value.(*parseEntry)
-	return e.lib, e.top, e.lib != nil
-}
-
-// put stores a parse result, evicting the least-recently-used entry
-// when the cache is full.
-func (c *parseCache) put(key string, items []fleet.Item) {
-	c.putEntry(&parseEntry{key: key, items: items})
-}
-
-// putHier stores a hierarchical parse result under the same LRU.
-func (c *parseCache) putHier(key string, lib *netlist.Library, top *netlist.Circuit) {
-	c.putEntry(&parseEntry{key: key, lib: lib, top: top})
-}
-
-func (c *parseCache) putEntry(e *parseEntry) {
-	if c == nil || c.max <= 0 {
-		return
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if el, ok := c.entries[e.key]; ok {
-		el.Value = e
-		c.order.MoveToFront(el)
-		return
-	}
-	c.entries[e.key] = c.order.PushFront(e)
-	for c.order.Len() > c.max {
-		oldest := c.order.Back()
-		c.order.Remove(oldest)
-		delete(c.entries, oldest.Value.(*parseEntry).key)
-	}
-}
-
-// len reports the current entry count (for tests and /stats).
-func (c *parseCache) len() int {
-	if c == nil {
-		return 0
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.order.Len()
+// circuitBytes estimates a circuit's footprint from its element counts:
+// each element's struct, slice pointer, name and index-map slot, as
+// measured on parsed and flattened decks.
+func circuitBytes(c *netlist.Circuit) int64 {
+	return 256 + 128*int64(len(c.Nodes)) + 152*int64(len(c.Devices)) + 112*int64(len(c.Resistors)+len(c.Instances))
 }

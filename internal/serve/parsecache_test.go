@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/fleet"
+	"repro/internal/lru"
 )
 
 func parseItems(t *testing.T, deck string) []fleet.Item {
@@ -16,38 +17,38 @@ func parseItems(t *testing.T, deck string) []fleet.Item {
 	return items
 }
 
-// TestParseCacheLRU exercises the unit: hit after put, recency refresh,
-// LRU eviction, and the disabled (max<=0) mode.
+// TestParseCacheLRU exercises the parse table as a view of a store:
+// hit after put, recency refresh, and LRU eviction by accounted bytes.
 func TestParseCacheLRU(t *testing.T) {
-	items := parseItems(t, cleanDeck)
-	c := newParseCache(2)
-	if _, ok := c.get("a"); ok {
+	e := &parseEntry{items: parseItems(t, cleanDeck)}
+	size := e.bytes()
+	if size < int64(len(cleanDeck)) {
+		t.Fatalf("parsed deck accounted at %d bytes, less than its %d-byte source", size, len(cleanDeck))
+	}
+	store := lru.New[any, any](2 * size)
+	c := lru.View[parseKey, *parseEntry]{S: store}
+	if _, ok := c.Get("a"); ok {
 		t.Fatal("empty cache hit")
 	}
-	c.put("a", items)
-	c.put("b", items)
-	if got, ok := c.get("a"); !ok || len(got) != len(items) {
+	c.Put("a", e, size)
+	c.Put("b", e, size)
+	if got, ok := c.Get("a"); !ok || len(got.items) != len(e.items) {
 		t.Fatal("miss after put")
 	}
-	// "a" was just refreshed, so inserting "c" must evict "b".
-	c.put("c", items)
-	if _, ok := c.get("b"); ok {
+	// "a" was just refreshed, so "c" pushes the store over budget and
+	// the trim must evict "b".
+	c.Put("c", e, size)
+	if n := store.Trim(); n != 1 {
+		t.Errorf("trim evicted %d entries, want 1", n)
+	}
+	if _, ok := c.Get("b"); ok {
 		t.Error("LRU entry not evicted")
 	}
-	if _, ok := c.get("a"); !ok {
+	if _, ok := c.Get("a"); !ok {
 		t.Error("recently-used entry evicted")
 	}
-	if c.len() != 2 {
-		t.Errorf("len = %d, want 2", c.len())
-	}
-
-	off := newParseCache(-1)
-	off.put("a", items)
-	if _, ok := off.get("a"); ok {
-		t.Error("disabled cache returned a hit")
-	}
-	if off.len() != 0 {
-		t.Error("disabled cache stored an entry")
+	if c.Len() != 2 {
+		t.Errorf("len = %d, want 2", c.Len())
 	}
 }
 
@@ -67,23 +68,5 @@ func TestParseCacheCountersOnRepeat(t *testing.T) {
 	st = s.StatsNow()
 	if st.Counters["serve.parse_cache.miss"] != 2 {
 		t.Errorf("cells=1 on same bytes missed %d times, want 2 total", st.Counters["serve.parse_cache.miss"])
-	}
-}
-
-// TestParseCacheDisabledConfig ParseCacheSize<0 turns caching off:
-// every request is a miss and the daemon still serves correctly.
-func TestParseCacheDisabledConfig(t *testing.T) {
-	cfg := testConfig()
-	cfg.ParseCacheSize = -1
-	s, hs := newTestServer(t, cfg)
-	postDeck(t, hs.URL+"/verify", cleanDeck)
-	postDeck(t, hs.URL+"/verify", cleanDeck)
-	st := s.StatsNow()
-	if st.Counters["serve.parse_cache.hit"] != 0 || st.Counters["serve.parse_cache.miss"] != 2 {
-		t.Errorf("disabled cache hit=%d miss=%d, want 0/2",
-			st.Counters["serve.parse_cache.hit"], st.Counters["serve.parse_cache.miss"])
-	}
-	if st.Served != 2 {
-		t.Errorf("served = %d", st.Served)
 	}
 }

@@ -21,7 +21,8 @@
 // across requests: the daemon owns one fleet.Cache (and optionally one
 // fleet.DiskCache), so a repeated deck is a singleflight cache hit no
 // matter how many clients race on it, and a rename-only edit re-uses
-// the structural-fingerprint entry.
+// the structural-fingerprint entry. Parsed decks share the cache's
+// byte-budgeted store, so memo memory stays bounded however long it runs.
 //
 // ?hier=1 switches a request onto fleet.VerifyHier: each subcell is
 // keyed on its fingerprint-DAG hash against the same shared caches, so
@@ -57,7 +58,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/fleet"
-	"repro/internal/netlist"
+	"repro/internal/lru"
 	"repro/internal/obs"
 )
 
@@ -95,9 +96,6 @@ type Config struct {
 	SlowMS float64
 	// SlowTraceCap bounds the slow-trace ring (0 = 32).
 	SlowTraceCap int
-	// ParseCacheSize bounds the deck parse cache in entries (0 = 64;
-	// negative disables parse caching).
-	ParseCacheSize int
 }
 
 // Server is the verification daemon: an http.Handler plus the warm
@@ -107,7 +105,7 @@ type Server struct {
 	pool   *workerPool
 	mux    *http.ServeMux
 	col    *obs.Collector // server-lifetime telemetry (merged request counters)
-	parses *parseCache
+	parses lru.View[parseKey, *parseEntry]
 	ring   *traceRing
 
 	start    time.Time
@@ -144,15 +142,12 @@ func New(cfg Config) *Server {
 	if cfg.SlowTraceCap == 0 {
 		cfg.SlowTraceCap = 32
 	}
-	if cfg.ParseCacheSize == 0 {
-		cfg.ParseCacheSize = 64
-	}
 	s := &Server{
 		cfg:    cfg,
 		pool:   newWorkerPool(cfg.Workers, cfg.Queue),
 		mux:    http.NewServeMux(),
 		col:    obs.New(),
-		parses: newParseCache(cfg.ParseCacheSize),
+		parses: lru.View[parseKey, *parseEntry]{S: cfg.Cache.Store()},
 		ring:   newTraceRing(cfg.SlowTraceCap),
 		start:  obs.Now(),
 	}
@@ -403,23 +398,15 @@ func (s *Server) handleVerify(w http.ResponseWriter, r *http.Request) {
 	w.Write(b)
 }
 
-// deckLoad is loadDeck's result: the flat item list, or — for ?hier=1
-// requests — the parsed library plus resolved top cell for VerifyHier
-// (lib non-nil selects the hierarchical path).
-type deckLoad struct {
-	items []fleet.Item
-	lib   *netlist.Library
-	top   *netlist.Circuit
-}
-
 // loadDeck resolves the request's deck — body or ?path= — through the
-// parse cache, honoring ?top=, ?cells=1 and ?hier=1. Returns the
-// source name and the deck's sha256 alongside the load (the sha is the
+// parse cache, honoring ?top=, ?cells=1 and ?hier=1 (a non-nil lib
+// selects the hierarchical path). Returns the source name and the
+// deck's sha256 alongside the load (the sha is the
 // access log's deck fingerprint, so it is returned even when the parse
 // fails). Hierarchy errors — unknown top, instance cycles, arity
 // mismatches — surface here too, so the handler's verification phase
 // only ever sees decks whose fingerprint DAG resolved.
-func (s *Server) loadDeck(r *http.Request) (ld deckLoad, src, deckSHA string, err error) {
+func (s *Server) loadDeck(r *http.Request) (ld *parseEntry, src, deckSHA string, err error) {
 	q := r.URL.Query()
 	top, cells, hier := q.Get("top"), boolParam(r, "cells"), boolParam(r, "hier")
 	if hier && cells {
@@ -448,37 +435,31 @@ func (s *Server) loadDeck(r *http.Request) (ld deckLoad, src, deckSHA string, er
 	}
 	sum := sha256.Sum256(data)
 	deckSHA = hex.EncodeToString(sum[:])
-	key := deckSHA + "\x00" + src + "\x00" + top + "\x00" + strconv.FormatBool(cells) + "\x00" + strconv.FormatBool(hier)
-	if hier {
-		if lib, topC, ok := s.parses.getHier(key); ok {
-			s.col.Add("serve.parse_cache.hit", 1)
-			return deckLoad{lib: lib, top: topC}, src, deckSHA, nil
-		}
-		s.col.Add("serve.parse_cache.miss", 1)
-		lib, topC, err := fleet.HierFromDeck(bytes.NewReader(data), src, top)
-		if err != nil {
-			return ld, src, deckSHA, err
-		}
-		// Resolve the fingerprint DAG now so malformed hierarchies are a
-		// 400 before admission, not a mid-run failure after headers went
-		// out (the result itself is rebuilt memoized inside VerifyHier).
-		if _, err := lib.HierFingerprint(topC); err != nil {
-			return ld, src, deckSHA, err
-		}
-		s.parses.putHier(key, lib, topC)
-		return deckLoad{lib: lib, top: topC}, src, deckSHA, nil
-	}
-	if cached, ok := s.parses.get(key); ok {
+	key := parseKey(deckSHA + "\x00" + src + "\x00" + top + "\x00" + strconv.FormatBool(cells) + "\x00" + strconv.FormatBool(hier))
+	if e, ok := s.parses.Get(key); ok {
 		s.col.Add("serve.parse_cache.hit", 1)
-		return deckLoad{items: cached}, src, deckSHA, nil
+		return e, src, deckSHA, nil
 	}
 	s.col.Add("serve.parse_cache.miss", 1)
-	items, err := fleet.ItemsFromDeck(bytes.NewReader(data), src, top, cells)
+	e := &parseEntry{}
+	if hier {
+		e.lib, e.top, err = fleet.HierFromDeck(bytes.NewReader(data), src, top)
+		if err == nil {
+			// Resolve the fingerprint DAG now, through the memo VerifyHier
+			// replays, so a malformed hierarchy is a 400 before admission,
+			// not a mid-run failure after headers went out.
+			_, err = s.cfg.Cache.HierFingerprint(e.lib, e.top)
+		}
+	} else {
+		e.items, err = fleet.ItemsFromDeck(bytes.NewReader(data), src, top, cells)
+	}
 	if err != nil {
 		return ld, src, deckSHA, err
 	}
-	s.parses.put(key, items)
-	return deckLoad{items: items}, src, deckSHA, nil
+	// The parsed names are substrings of the deck's lines, so the deck
+	// text stays alive with the entry.
+	s.parses.Put(key, e, int64(len(data))+e.bytes())
+	return e, src, deckSHA, nil
 }
 
 // fail answers an unusable request and counts it.
@@ -541,7 +522,10 @@ type Stats struct {
 		Hits    int64 `json:"hits"`
 		Misses  int64 `json:"misses"`
 	} `json:"cache"`
-	Disk *fleet.DiskStats `json:"disk,omitempty"`
+	// Store is the cache's bounded store: records, hier side-tables,
+	// fingerprint memo and parsed decks under one byte budget.
+	Store lru.Stats        `json:"store"`
+	Disk  *fleet.DiskStats `json:"disk,omitempty"`
 	// Verdicts tallies every served item's outcome since startup.
 	Verdicts struct {
 		Pass      int64 `json:"pass"`
@@ -574,6 +558,7 @@ func (s *Server) StatsNow() Stats {
 	st.Cache.Entries = s.cfg.Cache.Len()
 	st.Cache.Hits = s.cacheHits.Load()
 	st.Cache.Misses = s.cacheMisses.Load()
+	st.Store = s.cfg.Cache.Store().Stats()
 	if s.cfg.DiskCache != nil {
 		if ds, err := s.cfg.DiskCache.Stats(); err == nil {
 			st.Disk = &ds
